@@ -55,29 +55,15 @@ let conform_json_rows : string list ref = ref []
 let async_json_rows : string list ref = ref []
 let conditions_json_rows : string list ref = ref []
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let row_to_json (r : Runner.row) =
   Printf.sprintf
     "{\"protocol\":\"%s\",\"n\":%d,\"beta\":%.3f,\"rounds\":%d,\"max_bytes\":%d,\"mean_bytes\":%.1f,\"p50_bytes\":%.1f,\"p95_bytes\":%.1f,\"p99_bytes\":%.1f,\"stddev_bytes\":%.1f,\"total_bytes\":%d,\"locality\":%d,\"ok\":%b,\"note\":\"%s\",\"tag_breakdown\":%s}"
-    (json_escape r.Runner.r_protocol)
+    (Repro_obs.Jstr.escape r.Runner.r_protocol)
     r.Runner.r_n r.Runner.r_beta r.Runner.r_rounds r.Runner.r_max_bytes
     r.Runner.r_mean_bytes r.Runner.r_p50_bytes r.Runner.r_p95_bytes
     r.Runner.r_p99_bytes r.Runner.r_stddev_bytes
     r.Runner.r_total_bytes r.Runner.r_locality r.Runner.r_ok
-    (json_escape r.Runner.r_note)
+    (Repro_obs.Jstr.escape r.Runner.r_note)
     (Metrics.breakdown_to_json r.Runner.r_breakdown)
 
 (* A scale-sweep point is a row plus the audit-vs-budget fields (schema
@@ -111,7 +97,7 @@ let write_results ~total_wall_s =
         (Printf.sprintf
            "    {\"name\": \"%s\", \"wall_s\": %.2f, \"counters\": %s, \
             \"det_counters\": %s, \"profile\": %s}%s\n"
-           (json_escape name) dt counters det profile
+           (Repro_obs.Jstr.escape name) dt counters det profile
            (if i = List.length times - 1 then "" else ",")))
     times;
   Buffer.add_string buf "  ],\n";
@@ -504,21 +490,21 @@ let bench_srds_ops () =
 let conform_cell_to_json (c : Runner.conform_cell) =
   Printf.sprintf
     "{\"protocol\":\"%s\",\"n\":%d,\"beta\":%.3f,\"seed\":%d,\"rows_ok\":%b,\"match\":%b,\"digests\":[%s]}"
-    (json_escape c.Runner.cf_protocol)
+    (Repro_obs.Jstr.escape c.Runner.cf_protocol)
     c.Runner.cf_n c.Runner.cf_beta c.Runner.cf_seed c.Runner.cf_rows_ok
     c.Runner.cf_match
     (String.concat ","
        (List.map
           (fun (b, d) ->
             Printf.sprintf "{\"backend\":\"%s\",\"digest\":\"%s\"}"
-              (json_escape b) (json_escape d))
+              (Repro_obs.Jstr.escape b) (Repro_obs.Jstr.escape d))
           c.Runner.cf_digests))
 
 let async_cell_to_json (a : Runner.async_cell) =
   Printf.sprintf
     "{\"protocol\":\"%s\",\"strategy\":\"%s\",\"n\":%d,\"beta\":%.3f,\"seed\":%d,\"delta\":%d,\"jitter\":%d,\"loss\":%.3f,\"gst\":%d,\"rounds\":%d,\"vt\":%d,\"max_latency\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"digest\":\"%s\",\"ok\":%b}"
-    (json_escape a.Runner.ay_protocol)
-    (json_escape a.Runner.ay_strategy)
+    (Repro_obs.Jstr.escape a.Runner.ay_protocol)
+    (Repro_obs.Jstr.escape a.Runner.ay_strategy)
     a.Runner.ay_n a.Runner.ay_beta a.Runner.ay_seed
     a.Runner.ay_cfg.Repro_net.Sched.a_delta
     a.Runner.ay_cfg.Repro_net.Sched.a_jitter
@@ -526,7 +512,7 @@ let async_cell_to_json (a : Runner.async_cell) =
     a.Runner.ay_cfg.Repro_net.Sched.a_gst a.Runner.ay_rounds a.Runner.ay_vt
     a.Runner.ay_max_latency a.Runner.ay_pre_gst_lost a.Runner.ay_post_gst_late
     a.Runner.ay_agreed a.Runner.ay_decided a.Runner.ay_valid
-    (json_escape a.Runner.ay_digest)
+    (Repro_obs.Jstr.escape a.Runner.ay_digest)
     a.Runner.ay_ok
 
 (* Same key set as the `cells` objects of the `repro-attack/2` report, so
@@ -534,9 +520,9 @@ let async_cell_to_json (a : Runner.async_cell) =
 let condition_cell_to_json (c : Runner.attack_cell) =
   Printf.sprintf
     "{\"protocol\":\"%s\",\"strategy\":\"%s\",\"condition\":\"%s\",\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"rounds\":%d,\"vt\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"ok\":%b,\"gated\":%b,\"expect\":\"%s\"}"
-    (json_escape c.Runner.ac_protocol)
-    (json_escape c.Runner.ac_strategy)
-    (json_escape c.Runner.ac_condition)
+    (Repro_obs.Jstr.escape c.Runner.ac_protocol)
+    (Repro_obs.Jstr.escape c.Runner.ac_strategy)
+    (Repro_obs.Jstr.escape c.Runner.ac_condition)
     c.Runner.ac_n c.Runner.ac_beta c.Runner.ac_seed c.Runner.ac_agreed
     c.Runner.ac_decided c.Runner.ac_valid c.Runner.ac_rounds c.Runner.ac_vt
     c.Runner.ac_pre_gst_lost c.Runner.ac_post_gst_late c.Runner.ac_ok

@@ -144,12 +144,12 @@ let run_cmd =
     if trace_out <> None then Repro_obs.Trace.set_output trace_out;
     if counters then Repro_obs.Counters.enable ();
     let backend = backend_of ~name:backend_name ~seed ~gst ~delta ~jitter ~loss in
-    let row, auditor =
+    let auditor =
       if audit || Repro_obs.Audit.global_enabled () then
-        let row, a = Runner.run_audited ~backend ~protocol ~n ~beta ~seed () in
-        (row, Some a)
-      else (Runner.run ~backend ~protocol ~n ~beta ~seed (), None)
+        Some (Runner.make_auditor ~protocol ~n)
+      else None
     in
+    let row = Runner.run ?audit:auditor ~backend ~protocol ~n ~beta ~seed () in
     Printf.printf
       "%s n=%d beta=%.2f: rounds=%d max=%.1fKiB/party mean=%.1fKiB total=%.1fMiB \
        locality=%d ok=%b (%s)\n"
@@ -209,8 +209,8 @@ let audit_cmd =
     let results =
       List.map
         (fun protocol ->
-          let row, a = Runner.run_audited ~protocol ~n ~beta ~seed () in
-          (protocol, row, a))
+          let a = Runner.make_auditor ~protocol ~n in
+          (protocol, Runner.run ~audit:a ~protocol ~n ~beta ~seed (), a))
         Runner.all_protocols
     in
     let fmt_check cv observed =

@@ -87,10 +87,8 @@ let trace_enabled () = Logs.Src.level src = Some Logs.Debug
 (* Each protocol phase is a [Repro_obs.Trace] span (category "ba"), so phase
    structure lands in the exported Chrome trace; the legacy REPRO_TRACE
    behavior — one debug log line with the phase wall time — rides on top of
-   the same measurement when the Logs source is at Debug. When the network
-   carries an auditor, the same phase name labels its timeline/violations. *)
-let timed ?audit name f =
-  Repro_obs.Audit.with_phase audit name @@ fun () ->
+   the same measurement when the Logs source is at Debug. *)
+let timed name f =
   Repro_obs.Trace.span ~cat:"ba" name @@ fun () ->
   if trace_enabled () then begin
     let t0 = Unix.gettimeofday () in
@@ -100,14 +98,9 @@ let timed ?audit name f =
   end
   else f ()
 
-(* Network-aware variant: the same phase mark additionally lands in the
-   flight recorder (when one is attached) at the current network round, so
-   forensic cones can name the protocol phase a message belongs to. *)
-let timed_net net name f =
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) name
-  | None -> ());
-  timed ?audit:(Network.audit net) name f
+(* Network-aware variant: the phase name additionally reaches the network's
+   observers, labelling the auditor's timeline and the flight recorder. *)
+let timed_net net name f = Network.phase net name (fun () -> timed name f)
 
 module Make (S : Srds_intf.SCHEME) = struct
   module W = Srds_intf.Wire (S)
@@ -146,10 +139,8 @@ module Make (S : Srds_intf.SCHEME) = struct
              result independent of the pool size. *)
           B.keygen_all pp master setup_rng ~count:num_slots)
     in
-    let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-    Option.iter (Network.attach_audit net) audit;
-    Option.iter (Network.attach_recorder net) recorder;
-    Network.set_tap net tap;
+    let observers = Network.observers ?audit ?recorder ?tap () in
+    let net = Network.create ?backend ~observers ~n ~corrupt:cfg.corrupt () in
     Option.iter (Network.set_condition net) condition;
     (* Phase B: election establishes the tree. *)
     let ae =
@@ -161,19 +152,19 @@ module Make (S : Srds_intf.SCHEME) = struct
     (* Committee memberships are public outputs of the election: record the
        whole tree plus the supreme committee so forensic consumers can tie
        message flow to committee structure without re-deriving the tree. *)
-    (match Network.recorder net with
-    | Some r ->
-      let round = Network.round net in
+    if Network.observed net then begin
+      let committee ~level ~idx members =
+        Network.mark net
+          (Network.Committee { level; idx; members = Array.to_list members })
+      in
       for level = 1 to params.Params.height do
         for idx = 0 to Tree.nodes_at_level tree ~level - 1 do
-          Repro_obs.Recorder.note_committee r ~round ~level ~idx
-            ~members:(Array.to_list (Tree.assigned tree ~level ~idx))
+          committee ~level ~idx (Tree.assigned tree ~level ~idx)
         done
       done;
-      Repro_obs.Recorder.note_committee r ~round
-        ~level:(params.Params.height + 1) ~idx:0
-        ~members:(Array.to_list (Tree.supreme_committee tree))
-    | None -> ());
+      committee ~level:(params.Params.height + 1) ~idx:0
+        (Tree.supreme_committee tree)
+    end;
     {
       net;
       rng;
@@ -192,6 +183,14 @@ module Make (S : Srds_intf.SCHEME) = struct
     }
 
   let honest ctx p = Network.is_honest ctx.net p
+
+  (* One round in which [senders] act, then one delivery-driven round in
+     which every honest party holding mail runs [collect]. *)
+  let send_and_collect ctx senders collect =
+    Network.run_parties ctx.net ?adversary:ctx.adversary ~rounds:1 senders;
+    Network.run_active ctx.net ?adversary:ctx.adversary ~rounds:1
+      ~extra:(fun ~round:_ -> [])
+      (fun p -> if honest ctx p then Some (collect p) else None)
 
   (* (payload, s) message the SRDS certifies. *)
   let msg_of_pair ~payload ~s =
@@ -333,10 +332,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         (List.init n (fun p -> p))
     in
     timed "E: sign+send" (fun () ->
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1 signers;
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (collect_handler p) else None);
+        send_and_collect ctx signers collect_handler;
         Network.flush net);
 
     (* --- Phase F: aggregate up the tree (f_aggr-sig per node) --- *)
@@ -430,11 +426,9 @@ module Make (S : Srds_intf.SCHEME) = struct
           List.sort_uniq compare
             (Hashtbl.fold (fun (_, q) _ acc -> q :: acc) agree_states [])
         in
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1
-          (List.map (fun p -> (p, forward_handler p)) forwarders);
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (collect_up p) else None);
+        send_and_collect ctx
+          (List.map (fun p -> (p, forward_handler p)) forwarders)
+          collect_up;
         Network.flush net
       end
       else
@@ -500,25 +494,13 @@ module Make (S : Srds_intf.SCHEME) = struct
     (* A party decides the moment it first accepts a verifying certificate;
        that moment (party, round, value) is a recorded event — the anchor
        the causal-cone extractor explains backwards from. *)
-    let note_decide ~round p payload =
-      match Network.recorder net with
-      | None -> ()
-      | Some r ->
-        let value =
-          if Bytes.length payload = 1 then
-            if Bytes.get payload 0 = '\000' then "0" else "1"
-          else
-            Repro_obs.Recorder.(hex_of_digest (digest_of_payload payload))
-        in
-        Repro_obs.Recorder.note_decide r ~round ~party:p ~value
-    in
-    let accept p ~round pair_bytes sig_bytes =
+    let accept p pair_bytes sig_bytes =
       match (pair_of_msg pair_bytes, W.of_bytes sig_bytes) with
       | Some (payload, _s), Some sg ->
         if S.verify ctx.pp ~vks:ctx.vks ~msg:pair_bytes sg then begin
           if outputs.(p) = None then begin
             outputs.(p) <- Some payload;
-            note_decide ~round p payload
+            Network.mark net (Network.Decide { party = p; payload })
           end;
           true
         end
@@ -526,7 +508,7 @@ module Make (S : Srds_intf.SCHEME) = struct
       | _ -> false
     in
     let boost_tag = "boost-" ^ label in
-    let boost_send p ~round ~inbox =
+    let boost_send p ~round:_ ~inbox =
       ignore inbox;
       match received_cert.(p) with
       | Some cert -> (
@@ -534,7 +516,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         | Some (pair_bytes, sig_bytes) -> (
           match pair_of_msg pair_bytes with
           | Some (_payload, s) ->
-            ignore (accept p ~round pair_bytes sig_bytes);
+            ignore (accept p pair_bytes sig_bytes);
             let targets =
               Repro_crypto.Prf.subset
                 ~key:(Repro_crypto.Prf.of_seed s)
@@ -545,7 +527,7 @@ module Make (S : Srds_intf.SCHEME) = struct
         | None -> ())
       | None -> ()
     in
-    let boost_recv p ~round ~inbox =
+    let boost_recv p ~round:_ ~inbox =
       List.iter
         (fun (m : Wire.msg) ->
           if m.Wire.tag = boost_tag && outputs.(p) = None then
@@ -559,7 +541,7 @@ module Make (S : Srds_intf.SCHEME) = struct
                   Repro_crypto.Prf.subset_mem
                     ~key:(Repro_crypto.Prf.of_seed s)
                     ~index:m.Wire.src ~n ~size:ctx.boost_degree p
-                then ignore (accept p ~round pair_bytes sig_bytes)
+                then ignore (accept p pair_bytes sig_bytes)
               | None -> ())
             | None -> ())
         inbox
@@ -573,11 +555,7 @@ module Make (S : Srds_intf.SCHEME) = struct
           else None)
         (List.init n (fun p -> p))
     in
-    timed "H: boost round" (fun () ->
-        Network.run_parties net ?adversary:ctx.adversary ~rounds:1 boosters;
-        Network.run_active net ?adversary:ctx.adversary ~rounds:1
-          ~extra:(fun ~round:_ -> [])
-          (fun p -> if honest ctx p then Some (boost_recv p) else None));
+    timed "H: boost round" (fun () -> send_and_collect ctx boosters boost_recv);
     outputs
 
   (* --- the full Byzantine agreement protocol --- *)

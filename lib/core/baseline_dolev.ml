@@ -42,10 +42,8 @@ let enc b = Bytes.make 1 (if b then '\001' else '\000')
 let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
     result =
   let n = cfg.n in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let observers = Network.observers ?audit ?recorder ?tap () in
+  let net = Network.create ?backend ~observers ~n ~corrupt:cfg.corrupt () in
   Option.iter (Network.set_condition net) condition;
   (* PKI setup (uncharged, like the pipeline's phase A): one small Merkle
      key per party — a Dolev–Strong relayer signs each value once, so a
@@ -69,11 +67,7 @@ let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
         else None)
   in
   let rounds = Dolev.rounds ~members in
-  (match Network.recorder net with
-  | Some r ->
-    Repro_obs.Recorder.note_phase r ~round:(Network.round net) "dolev-strong"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "dolev-strong" (fun () ->
+  Network.phase net "dolev-strong" (fun () ->
       Engine.run net ?adversary ~tag:"ds" ~rounds
         ~machines:(fun p ->
           match sts.(p) with
@@ -93,18 +87,13 @@ let run ?audit ?recorder ?tap ?backend ?condition ?adversary (cfg : config) :
         | None -> ())
       | _ -> ())
     sts;
-  (match Network.recorder net with
-  | Some r ->
-    let round = Network.round net in
-    Array.iteri
-      (fun p o ->
-        match o with
-        | Some v when honest p ->
-          Repro_obs.Recorder.note_decide r ~round ~party:p
-            ~value:(if v then "1" else "0")
-        | _ -> ())
-      outputs
-  | None -> ());
+  Array.iteri
+    (fun p o ->
+      match o with
+      | Some v when honest p ->
+        Network.mark net (Network.Decide { party = p; payload = enc v })
+      | _ -> ())
+    outputs;
   let honest_list = List.filter honest (List.init n (fun p -> p)) in
   let decided = List.filter_map (fun p -> outputs.(p)) honest_list in
   let agreed =

@@ -26,20 +26,11 @@ type result = {
 
 let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
   let n = cfg.n in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let observers = Network.observers ?audit ?recorder ?tap () in
+  let net = Network.create ?backend ~observers ~n ~corrupt:cfg.corrupt () in
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let outputs = Array.make n None in
-  let note_decide ~round p v =
-    match Network.recorder net with
-    | Some r ->
-      Repro_obs.Recorder.note_decide r ~round ~party:p
-        ~value:(if v then "1" else "0")
-    | None -> ()
-  in
   let handler p ~round ~inbox =
     if round = 0 then begin
       if List.mem p cfg.holders then
@@ -61,14 +52,11 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
       let f = List.length (own @ votes) - t in
       if t + f > 0 then begin
         outputs.(p) <- Some (t > f);
-        note_decide ~round p (t > f)
+        Network.mark net (Network.Decide { party = p; payload = enc (t > f) })
       end
     end
   in
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) "flood"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "flood" (fun () ->
+  Network.phase net "flood" (fun () ->
       Network.run net ~rounds:2
         (Array.init n (fun p -> if honest p then Some (handler p) else None)));
   let honest_list = List.filter honest (List.init n (fun p -> p)) in

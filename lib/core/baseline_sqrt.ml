@@ -41,10 +41,8 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
   let members_of_group k = List.filter (fun p -> p < n) (List.init g (fun j -> (k * g) + j)) in
   let row_of p = p mod g in
   let row_members r = List.filter (fun p -> p < n) (List.init num_groups (fun k -> (k * g) + r)) in
-  let net = Network.create ?backend ~n ~corrupt:cfg.corrupt () in
-  Option.iter (Network.attach_audit net) audit;
-  Option.iter (Network.attach_recorder net) recorder;
-  Network.set_tap net tap;
+  let observers = Network.observers ?audit ?recorder ?tap () in
+  let net = Network.create ?backend ~observers ~n ~corrupt:cfg.corrupt () in
   let honest p = Network.is_honest net p in
   let enc b = Bytes.make 1 (if b then '\001' else '\000') in
   let dec payload =
@@ -91,19 +89,11 @@ let run ?audit ?recorder ?tap ?backend (cfg : config) : result =
       let own = match group_value.(p) with Some v -> [ v ] | None -> [] in
       outputs.(p) <- majority (own @ votes);
       match outputs.(p) with
-      | Some v -> (
-        match Network.recorder net with
-        | Some r ->
-          Repro_obs.Recorder.note_decide r ~round ~party:p
-            ~value:(if v then "1" else "0")
-        | None -> ())
+      | Some v -> Network.mark net (Network.Decide { party = p; payload = enc v })
       | None -> ()
     end
   in
-  (match Network.recorder net with
-  | Some r -> Repro_obs.Recorder.note_phase r ~round:(Network.round net) "quorum"
-  | None -> ());
-  Repro_obs.Audit.with_phase (Network.audit net) "quorum" (fun () ->
+  Network.phase net "quorum" (fun () ->
       Network.run net ~rounds:3
         (Array.init n (fun p -> if honest p then Some (handler p) else None)));
   let honest_list = List.filter honest (List.init n (fun p -> p)) in

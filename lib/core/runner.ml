@@ -189,8 +189,8 @@ let run_full_ba name run_fn ~n ~beta ~seed : row =
     ~breakdown:r.Balanced_ba.breakdown
 
 (* [audit], [recorder], [tap] and [backend] are threaded into the
-   protocol's own network; callers that want the auditor's verdict use
-   {!run_audited}, callers that want the flight-recorded log use
+   protocol's own network; callers that want the auditor's verdict pass
+   one to {!run}, callers that want the flight-recorded log use
    {!run_recorded}, callers pinning cross-backend conformance use
    {!run_digest}. *)
 let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
@@ -252,19 +252,18 @@ let run_with ?audit ?recorder ?tap ?backend ~protocol ~n ~beta ~seed () : row =
            (if sender_corrupt then " sender-corrupt" else ""))
       ~breakdown:r.Baseline_dolev.breakdown
 
-let run_audited ?backend ~protocol ~n ~beta ~seed () : row * Audit.t =
-  let a = make_auditor ~protocol ~n in
-  let row = run_with ?backend ~audit:a ~protocol ~n ~beta ~seed () in
-  Audit.finalize a;
-  (row, a)
-
 (* In global audit mode every run carries an auditor; its violations reach
    the [audit.violations] registry counter even though the instance itself
    is dropped here. *)
-let run ?backend ~protocol ~n ~beta ~seed () : row =
-  if Audit.global_enabled () then
-    fst (run_audited ?backend ~protocol ~n ~beta ~seed ())
-  else run_with ?backend ~protocol ~n ~beta ~seed ()
+let run ?audit ?backend ~protocol ~n ~beta ~seed () : row =
+  let audit =
+    match audit with
+    | None when Audit.global_enabled () -> Some (make_auditor ~protocol ~n)
+    | a -> a
+  in
+  let row = run_with ?audit ?backend ~protocol ~n ~beta ~seed () in
+  Option.iter Audit.finalize audit;
+  row
 
 (* --- E14: the full protocol under setup-aware corruption ---
 
@@ -908,7 +907,8 @@ let scale_cap = function
   | Dolev_strong -> Some 256
 
 let scale_point ~protocol ~n ~beta ~seed =
-  let row, a = run_audited ~protocol ~n ~beta ~seed () in
+  let a = make_auditor ~protocol ~n in
+  let row = run ~audit:a ~protocol ~n ~beta ~seed () in
   let p99_bits = 8.0 *. row.r_p99_bytes in
   let budget =
     Option.map
@@ -1227,6 +1227,7 @@ let profile_compare ~prev ~cur ~threshold =
      the harness in bin/ba_sim exposes it as [explain --replay-check]. *)
 
 module Recorder = Repro_obs.Recorder
+module Jstr = Repro_obs.Jstr
 
 let run_recorded ?(keep_payloads = false) ?backend ~protocol ~n ~beta ~seed () :
     row * Recorder.t * int list =
@@ -1278,25 +1279,6 @@ let explain_cones ~protocol ~n ~beta ~seed (rec_ : Recorder.t) : explain_report 
     ex_violations = List.fold_left (fun a (_, v) -> a + v) 0 checked;
   }
 
-(* Minimal JSON string escaping for tags/strategy names (mirrors the
-   recorder's writer: the reports must stay byte-identical across reruns,
-   so all writers are hand-rolled). *)
-let jstr s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 (* schema repro-forensics/1, kind "explain". *)
 let explain_json (ex : explain_report) =
   let buf = Buffer.create 4096 in
@@ -1304,7 +1286,7 @@ let explain_json (ex : explain_report) =
   Buffer.add_string buf "  \"schema\": \"repro-forensics/1\",\n";
   Buffer.add_string buf "  \"kind\": \"explain\",\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"protocol\": %s,\n" (jstr ex.ex_protocol));
+    (Printf.sprintf "  \"protocol\": %s,\n" (Jstr.quote ex.ex_protocol));
   Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" ex.ex_n);
   Buffer.add_string buf (Printf.sprintf "  \"beta\": %.4f,\n" ex.ex_beta);
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" ex.ex_seed);
@@ -1329,7 +1311,7 @@ let explain_json (ex : explain_report) =
         (Printf.sprintf
            "    {\"party\":%d,\"round\":%d,\"value\":%s,\"events\":%d,\"parties\":%d,\"max_slice\":%d,\"over_budget\":%d,\"per_round\":[%s]}%s\n"
            c.Recorder.cone_party c.Recorder.cone_round
-           (jstr c.Recorder.cone_value) c.Recorder.cone_events
+           (Jstr.quote c.Recorder.cone_value) c.Recorder.cone_events
            c.Recorder.cone_parties c.Recorder.cone_max_round_size over per_round
            (if i = last then "" else ",")))
     ex.ex_cones;
@@ -1434,9 +1416,9 @@ let attack_forensics_json ~n bundles =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"protocol\":%s,\"strategy\":%s,\"condition\":%s,\"beta\":%.4f,\"seed\":%d,\"cell_ok\":%b,\"expect\":%s,\"evidence\":[\n"
-           (jstr b.fb_protocol) (jstr b.fb_strategy) (jstr b.fb_condition)
+           (Jstr.quote b.fb_protocol) (Jstr.quote b.fb_strategy) (Jstr.quote b.fb_condition)
            b.fb_beta b.fb_seed b.fb_cell_ok
-           (jstr (if b.fb_expect_fail then "may-fail" else "pass")));
+           (Jstr.quote (if b.fb_expect_fail then "may-fail" else "pass")));
       let elast = List.length b.fb_evidence - 1 in
       List.iteri
         (fun j (e : Recorder.evidence) ->
@@ -1445,7 +1427,7 @@ let attack_forensics_json ~n bundles =
               (List.map
                  (fun (digest, count, dsts) ->
                    Printf.sprintf
-                     "{\"digest\":%s,\"count\":%d,\"dsts\":[%s]}" (jstr digest)
+                     "{\"digest\":%s,\"count\":%d,\"dsts\":[%s]}" (Jstr.quote digest)
                      count
                      (String.concat "," (List.map string_of_int dsts)))
                  e.Recorder.ev_variants)
@@ -1453,7 +1435,7 @@ let attack_forensics_json ~n bundles =
           Buffer.add_string buf
             (Printf.sprintf
                "      {\"src\":%d,\"round\":%d,\"tag\":%s,\"src_corrupt\":%b,\"variants\":[%s]}%s\n"
-               e.Recorder.ev_src e.Recorder.ev_round (jstr e.Recorder.ev_tag)
+               e.Recorder.ev_src e.Recorder.ev_round (Jstr.quote e.Recorder.ev_tag)
                e.Recorder.ev_src_corrupt variants
                (if j = elast then "" else ",")))
         b.fb_evidence;
@@ -1479,7 +1461,9 @@ let attack_forensics_json ~n bundles =
 
 module Sha256 = Repro_crypto.Sha256
 
-let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
+(* A transcript tap hashing round|src|dst|tag|payload per send, and the
+   function that returns the hex digest once the run is over. *)
+let digest_tap () =
   let ctx = Sha256.init () in
   let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
   let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
@@ -1488,8 +1472,12 @@ let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
     feed_bytes m.payload;
     feed_str "\n"
   in
+  (tap, fun () -> Sha256.hex (Sha256.finish ctx))
+
+let run_digest ?backend ~protocol ~n ~beta ~seed () : row * string =
+  let tap, digest = digest_tap () in
   let row = run_with ?backend ~tap ~protocol ~n ~beta ~seed () in
-  (row, Sha256.hex (Sha256.finish ctx))
+  (row, digest ())
 
 type conform_cell = {
   cf_protocol : string;
@@ -1571,14 +1559,7 @@ let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell 
   let corrupt = corrupt_set rng ~n ~beta in
   let inputs = Array.init n (fun i -> (i + seed) mod 2 = 0) in
   let bcfg = Balanced_ba.default_config ~adversary ~n ~corrupt ~inputs ~seed () in
-  let ctx = Sha256.init () in
-  let feed_bytes b = Sha256.feed ctx b 0 (Bytes.length b) in
-  let feed_str s = feed_bytes (Bytes.unsafe_of_string s) in
-  let tap ~round (m : Repro_net.Wire.msg) =
-    feed_str (Printf.sprintf "%d|%d|%d|%s|" round m.src m.dst m.tag);
-    feed_bytes m.payload;
-    feed_str "\n"
-  in
+  let tap, digest = digest_tap () in
   let backend = Sched.Async cfg in
   let (r : Balanced_ba.result) =
     match protocol with
@@ -1613,7 +1594,7 @@ let run_async_cell ~protocol ~strategy_name ~n ~beta ~seed ~cfg () : async_cell 
     ay_agreed = r.Balanced_ba.agreed;
     ay_decided = r.Balanced_ba.decided_fraction;
     ay_valid = r.Balanced_ba.valid;
-    ay_digest = Sha256.hex (Sha256.finish ctx);
+    ay_digest = digest ();
     ay_ok = ok;
   }
 
@@ -1649,13 +1630,13 @@ let async_json ~conform ~cells =
       let digests =
         String.concat ","
           (List.map
-             (fun (b, d) -> Printf.sprintf "{\"backend\":%s,\"digest\":%s}" (jstr b) (jstr d))
+             (fun (b, d) -> Printf.sprintf "{\"backend\":%s,\"digest\":%s}" (Jstr.quote b) (Jstr.quote d))
              c.cf_digests)
       in
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"protocol\":%s,\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"rows_ok\":%b,\"match\":%b,\"digests\":[%s]}%s\n"
-           (jstr c.cf_protocol) c.cf_n c.cf_beta c.cf_seed c.cf_rows_ok
+           (Jstr.quote c.cf_protocol) c.cf_n c.cf_beta c.cf_seed c.cf_rows_ok
            c.cf_match digests
            (if i = last then "" else ",")))
     conform;
@@ -1667,11 +1648,11 @@ let async_json ~conform ~cells =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"protocol\":%s,\"strategy\":%s,\"n\":%d,\"beta\":%.4f,\"seed\":%d,\"delta\":%d,\"jitter\":%d,\"loss\":%.4f,\"gst\":%d,\"rounds\":%d,\"vt\":%d,\"max_latency\":%d,\"pre_gst_lost\":%d,\"post_gst_late\":%d,\"agreed\":%b,\"decided\":%.3f,\"valid\":%b,\"digest\":%s,\"ok\":%b}%s\n"
-           (jstr a.ay_protocol) (jstr a.ay_strategy) a.ay_n a.ay_beta a.ay_seed
+           (Jstr.quote a.ay_protocol) (Jstr.quote a.ay_strategy) a.ay_n a.ay_beta a.ay_seed
            a.ay_cfg.Sched.a_delta a.ay_cfg.Sched.a_jitter a.ay_cfg.Sched.a_loss
            a.ay_cfg.Sched.a_gst a.ay_rounds a.ay_vt a.ay_max_latency
            a.ay_pre_gst_lost a.ay_post_gst_late a.ay_agreed a.ay_decided
-           a.ay_valid (jstr a.ay_digest) a.ay_ok
+           a.ay_valid (Jstr.quote a.ay_digest) a.ay_ok
            (if i = last then "" else ",")))
     cells;
   Buffer.add_string buf "  ],\n";

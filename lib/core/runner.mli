@@ -45,20 +45,17 @@ type row = {
 }
 
 val run :
+  ?audit:Repro_obs.Audit.t ->
   ?backend:Repro_net.Sched.backend ->
   protocol:protocol -> n:int -> beta:float -> seed:int -> unit -> row
-(** When {!Repro_obs.Audit.global_enabled} (the [REPRO_AUDIT] environment
-    variable, [--audit]), every run carries a fresh auditor with the
-    protocol's declared budgets; violations reach the [audit.violations]
-    registry counter. [?backend] selects the scheduler backend (default
-    sparse; see {!Repro_net.Sched}). *)
-
-val run_audited :
-  ?backend:Repro_net.Sched.backend ->
-  protocol:protocol -> n:int -> beta:float -> seed:int -> unit ->
-  row * Repro_obs.Audit.t
-(** Like {!run} but always audited; returns the finalized auditor with its
-    violations, timeline and per-phase breakdown. *)
+(** [?audit] subscribes an auditor (see {!make_auditor}) to the run's
+    network and finalizes it after the run, leaving its violations,
+    timeline and per-phase breakdown to read. When
+    {!Repro_obs.Audit.global_enabled} (the [REPRO_AUDIT] environment
+    variable, [--audit]), a run given no auditor carries a fresh one with
+    the protocol's declared budgets; violations reach the
+    [audit.violations] registry counter. [?backend] selects the scheduler
+    backend (default sparse; see {!Repro_net.Sched}). *)
 
 val corrupt_by_strategy :
   strategy:Repro_aetree.Attacks.strategy -> n:int -> beta:float -> seed:int ->

@@ -91,7 +91,10 @@ let tag_group tag =
       head ^ "/" ^ strip_digits rest
     else strip_digits head
 
+let h_msg_bytes = Repro_obs.Counters.histogram "net.msg_bytes"
+
 let note_send t (m : Wire.msg) =
+  Repro_obs.Counters.observe h_msg_bytes (Bytes.length m.payload);
   let s = t.stats.(m.src) in
   let sz = Wire.size m in
   s.bytes_sent <- s.bytes_sent + sz;
@@ -220,14 +223,6 @@ let pp_breakdown ppf bd =
         (100. *. float_of_int b /. float_of_int (max 1 total)))
     bd;
   Format.fprintf ppf "  %-*s %12d@." width "total" total
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "max %.1f KiB/party, mean %.1f KiB, total %.1f KiB, locality max %d, %d rounds"
-    (float_of_int r.max_bytes /. 1024.)
-    (r.mean_bytes /. 1024.)
-    (float_of_int r.total_bytes /. 1024.)
-    r.max_locality r.rounds
 
 (* Machine-readable form for BENCH_results.json and any external tooling:
    a flat JSON object string, keys stable across versions. *)

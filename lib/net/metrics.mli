@@ -54,8 +54,6 @@ val report : ?include_party:(int -> bool) -> t -> report
     (never NaN); [total_bytes] and [rounds] keep their network-wide
     values. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 val report_to_json : report -> string
 (** The report as a flat JSON object (stable keys), for machine-readable
     benchmark output. *)

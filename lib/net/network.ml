@@ -14,12 +14,14 @@
    deterministic seeded event queue with per-edge latency/jitter/loss and
    a GST knob (see sched.ml for the synchronizer argument: round
    semantics survive the chaos knobs, delivery order and the virtual
-   clock do not). All three share this module's send choke point, so the
-   tap/recorder/metrics/audit consumers are backend-agnostic.
+   clock do not). All three run the same round loop and share this
+   module's send and delivery choke point.
 
    Protocols are arrays of per-party step functions closing over their own
    state; corrupt slots are [None] and their behaviour lives entirely in the
-   adversary. All sends are metered through {!Metrics}. *)
+   adversary. All sends are metered through {!Metrics}; every other consumer
+   (transcript tap, flight recorder, auditor) is an {!observer} fixed at
+   {!create} and fed from the same choke point. *)
 
 let src = Logs.Src.create "repro.net" ~doc:"simulated network"
 
@@ -38,15 +40,20 @@ type async_state = {
   mutable a_seq : int; (* global send counter: heap tiebreak = send order *)
 }
 
+type mark =
+  | Phase of string
+  | Phase_end
+  | Committee of { level : int; idx : int; members : int list }
+  | Decide of { party : int; payload : bytes }
+  | Corrupt of int
+
 type t = {
   n : int;
   corrupt : bool array;
   backend : Sched.backend;
   async : async_state option; (* Some iff backend is Async *)
   metrics : Metrics.t;
-  mutable audit : Repro_obs.Audit.t option; (* online complexity auditor *)
-  mutable recorder : Repro_obs.Recorder.t option; (* flight recorder *)
-  mutable tap : (round:int -> Wire.msg -> unit) option; (* per-instance *)
+  observers : observer list; (* fixed at creation, notified in list order *)
   mutable staged : Wire.msg list; (* sent this round, reversed *)
   inboxes : Wire.msg list array; (* deliveries for the current round *)
   mutable dirty : int list; (* parties with a non-empty current inbox *)
@@ -54,6 +61,14 @@ type t = {
   mutable in_adv_step : bool; (* inside the adversary's turn of a round *)
   mutable condition : Sched.condition option;
       (* network-condition hook; async backend only, None = ideal network *)
+}
+
+and observer = {
+  on_create : t -> unit;
+  on_send : t -> bits:int -> Wire.msg -> unit;
+  on_deliver : t -> bits:int -> Wire.msg -> unit;
+  on_round_end : t -> scheduled:int -> unit;
+  on_mark : t -> mark -> unit;
 }
 
 type handler = round:int -> inbox:Wire.msg list -> unit
@@ -66,7 +81,82 @@ type adversary = {
 
 let null_adversary = { adv_name = "null"; adv_step = (fun _ ~round:_ ~honest_staged:_ -> ()) }
 
-let create ?(backend = Sched.Sparse) ~n ~corrupt () =
+(* --- observers --- *)
+
+let silent =
+  {
+    on_create = (fun _ -> ());
+    on_send = (fun _ ~bits:_ _ -> ());
+    on_deliver = (fun _ ~bits:_ _ -> ());
+    on_round_end = (fun _ ~scheduled:_ -> ());
+    on_mark = (fun _ _ -> ());
+  }
+
+let tap_observer f = { silent with on_send = (fun t ~bits:_ m -> f ~round:t.round m) }
+
+(* Receives of round r's sends are charged to round r, keeping per-round
+   send/recv conservation: the auditor closes a round after delivery. *)
+let audit_observer a =
+  let module A = Repro_obs.Audit in
+  {
+    on_create =
+      (fun t -> if A.n a <> t.n then invalid_arg "Network.create: auditor arity");
+    on_send = (fun _ ~bits m -> A.note_send a ~src:m.Wire.src ~dst:m.Wire.dst ~bits);
+    on_deliver = (fun _ ~bits m -> A.note_recv a ~src:m.Wire.src ~dst:m.Wire.dst ~bits);
+    on_round_end = (fun t ~scheduled -> A.end_round a ~round:t.round ~scheduled);
+    on_mark =
+      (fun _ -> function
+        | Phase name -> A.push_phase a name
+        | Phase_end -> A.pop_phase a
+        | Corrupt p -> A.mark_corrupt a p
+        | Committee _ | Decide _ -> ());
+  }
+
+let recorder_observer r =
+  let module R = Repro_obs.Recorder in
+  let value payload =
+    if Bytes.length payload = 1 then
+      if Bytes.get payload 0 = '\000' then "0" else "1"
+    else R.hex_of_digest (R.digest_of_payload payload)
+  in
+  {
+    silent with
+    on_send =
+      (fun t ~bits m ->
+        let vt = Option.map (fun a -> a.a_vt) t.async in
+        R.note_send r ?vt ~round:t.round ~src:m.Wire.src ~dst:m.Wire.dst
+          ~tag:m.Wire.tag ~bits ~payload:m.Wire.payload ());
+    on_mark =
+      (fun t -> function
+        | Phase name -> R.note r (R.Phase { p_round = t.round; p_name = name })
+        | Committee { level; idx; members } ->
+          R.note r
+            (R.Committee { c_round = t.round; c_level = level; c_idx = idx; c_members = members })
+        | Decide { party; payload } ->
+          R.note r (R.Decide { d_round = t.round; d_party = party; d_value = value payload })
+        | Corrupt p -> R.mark_corrupt r p
+        | Phase_end -> ());
+  }
+
+let observers ?audit ?recorder ?tap () =
+  List.filter_map Fun.id
+    [
+      Option.map tap_observer tap;
+      Option.map recorder_observer recorder;
+      Option.map audit_observer audit;
+    ]
+
+let mark t m = List.iter (fun o -> o.on_mark t m) t.observers
+let observed t = match t.observers with [] -> false | _ -> true
+
+let phase t name f =
+  match t.observers with
+  | [] -> f ()
+  | _ ->
+    mark t (Phase name);
+    Fun.protect ~finally:(fun () -> mark t Phase_end) f
+
+let create ?(backend = Sched.Sparse) ?(observers = []) ~n ~corrupt () =
   let c = Array.make n false in
   List.iter
     (fun i ->
@@ -87,27 +177,30 @@ let create ?(backend = Sched.Sparse) ~n ~corrupt () =
         }
     | Sched.Dense | Sched.Sparse -> None
   in
-  {
-    n;
-    corrupt = c;
-    backend;
-    async;
-    metrics = Metrics.create n;
-    audit = None;
-    recorder = None;
-    tap = None;
-    staged = [];
-    inboxes = Array.make n [];
-    dirty = [];
-    round = 0;
-    in_adv_step = false;
-    condition = None;
-  }
+  let t =
+    {
+      n;
+      corrupt = c;
+      backend;
+      async;
+      metrics = Metrics.create n;
+      observers;
+      staged = [];
+      inboxes = Array.make n [];
+      dirty = [];
+      round = 0;
+      in_adv_step = false;
+      condition = None;
+    }
+  in
+  (* Observers learn the static corrupt set the way they learn later
+     upgrades: one mark per corrupt party. *)
+  List.iter (fun o -> o.on_create t) observers;
+  if observed t then Array.iteri (fun p b -> if b then mark t (Corrupt p)) c;
+  t
 
 let n t = t.n
-let backend t = t.backend
 let metrics t = t.metrics
-let audit t = t.audit
 
 let virtual_time t =
   match t.async with Some a -> a.a_vt | None -> t.round
@@ -124,8 +217,6 @@ let set_condition t c =
   | Some _ -> ());
   t.condition <- Some c
 
-let condition t = t.condition
-
 (* A party is dark when the attached condition says so for the current
    (virtual time, round) — its handler is skipped and its deliveries are
    held on the heap until it resumes. Without a condition every party is
@@ -135,49 +226,41 @@ let party_up t i =
   | Some c, Some a -> not (c.Sched.c_down ~now:a.a_vt ~round:t.round i)
   | _ -> true
 
-(* Mid-run corruption upgrade (the adaptive adversary's move). The auditor
-   and recorder each hold a *copy* of the mask, so both are re-synced; the
-   upgraded party's handler stops being scheduled from the next honest
-   check on. *)
+(* Mid-run corruption upgrade (the adaptive adversary's move): observers
+   are told, and the upgraded party's handler stops being scheduled from
+   the next honest check on. *)
 let mark_corrupt t p =
   if p < 0 || p >= t.n then invalid_arg "Network.mark_corrupt: party index";
   if not t.corrupt.(p) then begin
     t.corrupt.(p) <- true;
-    Option.iter (fun a -> Repro_obs.Audit.set_corrupt a t.corrupt) t.audit;
-    Option.iter
-      (fun r -> Repro_obs.Recorder.set_corrupt r t.corrupt)
-      t.recorder
+    mark t (Corrupt p)
   end
 
-(* The auditor only budget-checks honest parties: the adversary can always
-   inflate its own parties' numbers. *)
-let attach_audit t a =
-  Repro_obs.Audit.set_corrupt a t.corrupt;
-  t.audit <- Some a
-
-(* Like the auditor, a recorder belongs to one network: the ground-truth
-   corrupt mask rides along so evidence extraction can tell accountable
-   equivocation from honest per-recipient fan-out. *)
-let attach_recorder t r =
-  Repro_obs.Recorder.set_corrupt r t.corrupt;
-  t.recorder <- Some r
-
-let recorder t = t.recorder
-let set_tap t f = t.tap <- f
 let round t = t.round
 let is_corrupt t i = t.corrupt.(i)
 let is_honest t i = not t.corrupt.(i)
 let honest_parties t = List.filter (is_honest t) (List.init t.n (fun i -> i))
 let corrupt_parties t = List.filter (is_corrupt t) (List.init t.n (fun i -> i))
 
-let h_msg_bytes = Repro_obs.Counters.histogram "net.msg_bytes"
-
-(* Scheduler occupancy of the sparse engine, observed once per
-   [run_active] round: how many parties were armed, and how many inboxes
-   were dirty before the spontaneous actors were merged in. Both are
-   functions of the delivery schedule, hence deterministic. *)
+(* Scheduler occupancy of the delivery-driven rounds: how many parties
+   were armed, and how many inboxes were dirty before the spontaneous
+   actors were merged in. Both are functions of the delivery schedule,
+   hence deterministic. *)
 let h_active = Repro_obs.Counters.histogram "net.active_set"
 let h_dirty = Repro_obs.Counters.histogram "net.dirty_depth"
+
+(* Observer fan-out without a closure per message. *)
+let rec notify_send t bits m = function
+  | [] -> ()
+  | o :: rest ->
+    o.on_send t ~bits m;
+    notify_send t bits m rest
+
+let rec notify_deliver t bits m = function
+  | [] -> ()
+  | o :: rest ->
+    o.on_deliver t ~bits m;
+    notify_deliver t bits m rest
 
 let send t ~src:s ~dst ~tag payload =
   if s < 0 || s >= t.n || dst < 0 || dst >= t.n then
@@ -187,26 +270,14 @@ let send t ~src:s ~dst ~tag payload =
   if t.in_adv_step && not t.corrupt.(s) then
     invalid_arg "Network.send: adversary send from honest src rejected";
   let m = { Wire.src = s; dst; tag; payload } in
-  (match t.tap with Some f -> f ~round:t.round m | None -> ());
-  (match t.recorder with
-  | Some r ->
-    (* On the async backend every event additionally carries the virtual
-       staging time, so replay can verify the timing schedule too. *)
-    let vt = Option.map (fun a -> a.a_vt) t.async in
-    Repro_obs.Recorder.note_send r ?vt ~round:t.round ~src:s ~dst ~tag
-      ~bits:(8 * Wire.size m) ~payload ()
-  | None -> ());
   Metrics.note_send t.metrics m;
-  Repro_obs.Counters.observe h_msg_bytes (Bytes.length payload);
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_send a ~src:s ~dst ~bits:(8 * Wire.size m))
-    t.audit;
+  (match t.observers with
+  | [] -> ()
+  | obs -> notify_send t (8 * Wire.size m) m obs);
   t.staged <- m :: t.staged
 
 let send_many t ~src ~dsts ~tag payload =
   List.iter (fun dst -> send t ~src ~dst ~tag payload) dsts
-
-let inbox t i = t.inboxes.(i)
 
 (* Messages of the current round's staging area sourced at honest parties:
    what a rushing adversary observes. *)
@@ -223,19 +294,13 @@ let deliver_msgs t msgs_rev =
   List.iter
     (fun (m : Wire.msg) ->
       Metrics.note_recv t.metrics m;
-      Option.iter
-        (fun a ->
-          Repro_obs.Audit.note_recv a ~src:m.Wire.src ~dst:m.Wire.dst
-            ~bits:(8 * Wire.size m))
-        t.audit;
+      (match t.observers with
+      | [] -> ()
+      | obs -> notify_deliver t (8 * Wire.size m) m obs);
       (match t.inboxes.(m.dst) with [] -> t.dirty <- m.dst :: t.dirty | _ -> ());
       t.inboxes.(m.dst) <- m :: t.inboxes.(m.dst))
     msgs_rev;
   t.staged <- []
-
-(* Lock-step delivery: inbox order is send order ([staged] is already the
-   sends reversed). *)
-let deliver t = deliver_msgs t t.staged
 
 (* Async delivery: every message staged this round enters the event queue
    at [vt + latency], latency drawn on its (src, dst) edge stream in send
@@ -320,8 +385,8 @@ let deliver_async t a =
   deliver_msgs t (drain []);
   a.a_vt <- !barrier
 
-(* Adversary turn, delivery and round close shared by every stepping mode. *)
-let finish_round t adversary =
+(* Adversary turn, delivery and round close: the tail of every round. *)
+let finish_round t adversary ~scheduled =
   t.in_adv_step <- true;
   Fun.protect
     ~finally:(fun () -> t.in_adv_step <- false)
@@ -335,129 +400,82 @@ let finish_round t adversary =
     c.Sched.c_observe ~now:a.a_vt ~round:t.round ~msgs:(staged_honest t)
       ~corrupt:(mark_corrupt t)
   | _ -> ());
-  (match t.async with Some a -> deliver_async t a | None -> deliver t);
-  (* Receives of round r's sends are charged to round r, keeping per-round
-     send/recv conservation; the auditor closes the round after delivery. *)
-  Option.iter (fun a -> Repro_obs.Audit.end_round a ~round:t.round) t.audit;
+  (* Lock-step inbox order is send order: [staged] is the sends reversed. *)
+  (match t.async with Some a -> deliver_async t a | None -> deliver_msgs t t.staged);
+  List.iter (fun o -> o.on_round_end t ~scheduled) t.observers;
   t.round <- t.round + 1
 
-let step t ?(adversary = null_adversary) handlers =
-  Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
-  Metrics.note_round t.metrics;
-  let scheduled = ref 0 in
-  Array.iteri
-    (fun i h ->
-      match h with
-      | Some handler when is_honest t i && party_up t i ->
-        incr scheduled;
-        handler ~round:t.round ~inbox:t.inboxes.(i)
-      | _ -> ())
-    handlers;
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_scheduled a !scheduled)
-    t.audit;
-  finish_round t adversary
+(* Who may act in a round. [Every] visits all n slots in party order;
+   [Listed] visits a fixed ascending party list; [Driven] visits the
+   parties holding a pending delivery plus the protocol's spontaneous
+   actors [extra ~round], ascending. *)
+type active =
+  | Every of (int -> handler option)
+  | Listed of (int * handler) list
+  | Driven of (round:int -> int list) * (int -> handler option)
+
+(* The one round loop. Visiting a party outside the active set would be a
+   no-op, so every mode yields the same transcript at O(active) per round;
+   the dense backend turns the active-set optimization off and visits
+   every slot, which makes it the reference the sparse modes are checked
+   against. *)
+let loop t ?(adversary = null_adversary) ?(stop = fun ~round:_ -> false) ~rounds
+    active =
+  let active =
+    match (t.backend, active) with
+    | Sched.Dense, Listed parties ->
+      let handlers = Array.make t.n None in
+      List.iter (fun (i, h) -> handlers.(i) <- Some h) parties;
+      Every (Array.get handlers)
+    | Sched.Dense, Driven (_, handler_of) -> Every handler_of
+    | _, a -> a
+  in
+  let target = t.round + rounds in
+  while t.round < target && not (stop ~round:t.round) do
+    Repro_obs.Trace.span ~cat:"net" "net.round" (fun () ->
+        Metrics.note_round t.metrics;
+        let scheduled = ref 0 in
+        let act i (h : handler) =
+          if is_honest t i && party_up t i then begin
+            incr scheduled;
+            h ~round:t.round ~inbox:t.inboxes.(i)
+          end
+        in
+        (match active with
+        | Every handler_of ->
+          for i = 0 to t.n - 1 do
+            match handler_of i with Some h -> act i h | None -> ()
+          done
+        | Listed parties -> List.iter (fun (i, h) -> act i h) parties
+        | Driven (extra, handler_of) ->
+          let parties =
+            List.sort_uniq compare (List.rev_append t.dirty (extra ~round:t.round))
+          in
+          Repro_obs.Counters.observe h_dirty (List.length t.dirty);
+          Repro_obs.Counters.observe h_active (List.length parties);
+          List.iter
+            (fun i ->
+              if i < 0 || i >= t.n then invalid_arg "Network.run_active: party index";
+              match handler_of i with Some h -> act i h | None -> ())
+            parties);
+        finish_round t adversary ~scheduled:!scheduled)
+  done
 
 let run t ?adversary ?stop ~rounds handlers =
   if Array.length handlers <> t.n then
     invalid_arg "Network.run: handler array arity";
-  let stop = Option.value stop ~default:(fun ~round:_ -> false) in
-  let target = t.round + rounds in
-  let rec go () =
-    if t.round < target && not (stop ~round:t.round) then begin
-      step t ?adversary handlers;
-      go ()
-    end
-  in
-  go ()
-
-(* Sparse stepping: only the listed parties act, in ascending party order —
-   exactly the order the dense [step] visits them — so a protocol whose
-   non-listed parties would have been no-ops produces a byte-identical
-   transcript while each round costs O(active), not O(n). *)
-
-let step_parties t ?(adversary = null_adversary) parties =
-  Repro_obs.Trace.span ~cat:"net" "net.round" @@ fun () ->
-  Metrics.note_round t.metrics;
-  let scheduled = ref 0 in
-  List.iter
-    (fun (i, handler) ->
-      if is_honest t i && party_up t i then begin
-        incr scheduled;
-        handler ~round:t.round ~inbox:t.inboxes.(i)
-      end)
-    parties;
-  Option.iter
-    (fun a -> Repro_obs.Audit.note_scheduled a !scheduled)
-    t.audit;
-  finish_round t adversary
+  loop t ?adversary ?stop ~rounds (Every (Array.get handlers))
 
 let run_parties t ?adversary ?stop ~rounds parties =
   List.iter
     (fun (i, _) ->
       if i < 0 || i >= t.n then invalid_arg "Network.run_parties: party index")
     parties;
-  match t.backend with
-  | Sched.Dense ->
-    (* The dense backend routes sparse callers through the full mailbox
-       scan: every slot is visited, unlisted parties are no-ops. The
-       transcript is identical by the run_parties contract; the execution
-       path is the genuinely dense one. *)
-    let handlers = Array.make t.n None in
-    List.iter (fun (i, h) -> handlers.(i) <- Some h) parties;
-    run t ?adversary ?stop ~rounds handlers
-  | Sched.Sparse | Sched.Async _ ->
-    let parties = List.sort (fun (a, _) (b, _) -> compare a b) parties in
-    let stop = Option.value stop ~default:(fun ~round:_ -> false) in
-    let target = t.round + rounds in
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        step_parties t ?adversary parties;
-        go ()
-      end
-    in
-    go ()
+  loop t ?adversary ?stop ~rounds
+    (Listed (List.sort (fun (a, _) (b, _) -> compare a b) parties))
 
 let run_active t ?adversary ?stop ~rounds ~extra handler_of =
-  let stop = Option.value stop ~default:(fun ~round:_ -> false) in
-  let target = t.round + rounds in
-  match t.backend with
-  | Sched.Dense ->
-    (* Dense: consult every party's handler every round (the active-set
-       optimization off). [handler_of] must be re-consulted per round —
-       lazily materialized parties appear as state arrives. *)
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        step t ?adversary (Array.init t.n handler_of);
-        go ()
-      end
-    in
-    go ()
-  | Sched.Sparse | Sched.Async _ ->
-    let rec go () =
-      if t.round < target && not (stop ~round:t.round) then begin
-        Repro_obs.Trace.span ~cat:"net" "net.sparse_round" (fun () ->
-            (* Active set: parties with pending deliveries plus the protocol's
-               spontaneous actors for this round (e.g. initial broadcasters). *)
-            let active =
-              List.sort_uniq compare
-                (List.rev_append t.dirty (extra ~round:t.round))
-            in
-            Repro_obs.Counters.observe h_dirty (List.length t.dirty);
-            Repro_obs.Counters.observe h_active (List.length active);
-            let parties =
-              List.filter_map
-                (fun i ->
-                  if i < 0 || i >= t.n then
-                    invalid_arg "Network.run_active: party index";
-                  match handler_of i with Some h -> Some (i, h) | None -> None)
-                active
-            in
-            step_parties t ?adversary parties);
-        go ()
-      end
-    in
-    go ()
+  loop t ?adversary ?stop ~rounds (Driven (extra, handler_of))
 
 (* Drop undelivered messages and pending inboxes between protocol phases so
    a new sub-protocol starts from a clean slate while metrics accumulate. *)

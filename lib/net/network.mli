@@ -20,13 +20,59 @@ type adversary = {
           on behalf of corrupt parties via {!send}. *)
 }
 
-val null_adversary : adversary
+(** {1 Observers}
 
-val create : ?backend:Sched.backend -> n:int -> corrupt:int list -> unit -> t
-(** [backend] defaults to {!Sched.Sparse}, the active-set stepper every
-    caller got before backends were pluggable. *)
+    Every consumer of the traffic besides the built-in {!Metrics} meter is
+    an observer, fixed at {!create}. Each send and each delivery is charged
+    its wire size once ([bits] = 8 * {!Wire.size}) and handed to every
+    observer once, in list order; with none the choke point does no extra
+    work. Observers read the round from the network. *)
 
-val backend : t -> Sched.backend
+type mark =
+  | Phase of string  (** a named protocol phase is entered *)
+  | Phase_end  (** the innermost open phase is left *)
+  | Committee of { level : int; idx : int; members : int list }
+  | Decide of { party : int; payload : bytes }  (** first accepted output *)
+  | Corrupt of int
+      (** once per statically corrupt party at {!create}, then once per
+          {!mark_corrupt} upgrade *)
+
+type observer = {
+  on_create : t -> unit;  (** once, inside {!create} *)
+  on_send : t -> bits:int -> Wire.msg -> unit;  (** in send order *)
+  on_deliver : t -> bits:int -> Wire.msg -> unit;  (** in delivery order *)
+  on_round_end : t -> scheduled:int -> unit;
+      (** after delivery; [scheduled] counts the handlers the loop ran *)
+  on_mark : t -> mark -> unit;
+}
+
+val observers :
+  ?audit:Repro_obs.Audit.t ->
+  ?recorder:Repro_obs.Recorder.t ->
+  ?tap:(round:int -> Wire.msg -> unit) ->
+  unit ->
+  observer list
+(** Adapters for the three consumers: the transcript [tap] sees every send
+    with its staging round; the [recorder] logs sends (stamped with the
+    virtual time on the async backend), phase entries, committees,
+    decisions (a one-byte payload as ["0"]/["1"], longer ones by digest)
+    and the corrupt set; the [audit]or takes sends, deliveries, round
+    closes, the phase stack and the corrupt set its checks skip; {!create}
+    raises [Invalid_argument] when the auditor was made for another [n]. *)
+
+val create :
+  ?backend:Sched.backend -> ?observers:observer list -> n:int ->
+  corrupt:int list -> unit -> t
+(** [backend] defaults to {!Sched.Sparse}, [observers] to none. *)
+
+val phase : t -> string -> (unit -> 'a) -> 'a
+(** [phase t name f] runs [f] between the marks [Phase name] and
+    [Phase_end] (the latter even on exceptions). *)
+
+val mark : t -> mark -> unit
+
+val observed : t -> bool
+(** Whether any observer is attached, to skip building unread marks. *)
 
 val virtual_time : t -> int
 (** The async executor's virtual clock (the round number on the lock-step
@@ -45,50 +91,19 @@ val set_condition : t -> Sched.condition -> unit
     observing honest traffic. Raises [Invalid_argument] on the lock-step
     backends, which have no delivery heap to program. *)
 
-val condition : t -> Sched.condition option
-
-val party_up : t -> int -> bool
-(** Whether the attached condition keeps this party up for the current
-    round (always true without a condition). Dark parties' handlers are
-    skipped and their deliveries held until they resume. *)
-
 val mark_corrupt : t -> int -> unit
 (** Upgrade one party to the corrupt set mid-run (the adaptive adversary's
-    move): idempotent, re-syncs the auditor's and recorder's mask copies,
-    and stops the party's handlers from the next honest check on. *)
-
-val attach_audit : t -> Repro_obs.Audit.t -> unit
-(** Attach an online per-party complexity auditor: every subsequent send,
-    delivery and round boundary is fed to it, and its budget checks are
-    restricted to the honest parties. *)
+    move): idempotent, marks the upgrade to every observer, and stops the
+    party's handlers from the next honest check on. *)
 
 val n : t -> int
 val metrics : t -> Metrics.t
-
-val audit : t -> Repro_obs.Audit.t option
-(** The attached auditor, if any — protocol layers use it to tag phases. *)
-
-val attach_recorder : t -> Repro_obs.Recorder.t -> unit
-(** Attach a flight recorder: every subsequent send is captured as a
-    compact event (round, src, dst, tag, payload digest, bits), and the
-    ground-truth corrupt mask is handed over for evidence extraction.
-    Per-instance, like {!attach_audit}; capture is off when absent. *)
-
-val recorder : t -> Repro_obs.Recorder.t option
-(** The attached recorder, if any — protocol layers use it to mark phase
-    entries, committee memberships and decisions. *)
 
 val round : t -> int
 val is_corrupt : t -> int -> bool
 val is_honest : t -> int -> bool
 val honest_parties : t -> int list
 val corrupt_parties : t -> int list
-
-val set_tap : t -> (round:int -> Wire.msg -> unit) option -> unit
-(** Install (or clear) this network's transcript tap: invoked for every
-    accepted send on this instance, in send order, with the staging round,
-    before the metrics/audit/recorder accounting. Per-instance, so
-    concurrent networks on the domain pool never observe each other. *)
 
 val send : t -> src:int -> dst:int -> tag:string -> bytes -> unit
 (** Stage one message for delivery next round. Raises [Invalid_argument] if
@@ -98,11 +113,15 @@ val send : t -> src:int -> dst:int -> tag:string -> bytes -> unit
 
 val send_many : t -> src:int -> dsts:int list -> tag:string -> bytes -> unit
 
-val inbox : t -> int -> Wire.msg list
-(** Current-round inbox (used by the adversary to read corrupt mail). *)
+(** {1 The round loop}
 
-val step : t -> ?adversary:adversary -> handler option array -> unit
-(** Run one round: honest handlers, adversary, delivery. *)
+    One loop executes every round: the honest, up parties of the round's
+    active set act in ascending party order, then the adversary, then
+    delivery, then the observers' round close. The three entry points
+    differ only in the active set; on the {!Sched.Dense} backend it is
+    always every party (the active-set optimization off), which is what
+    makes that backend the reference the sparse modes are checked
+    against. *)
 
 val run :
   t ->
@@ -111,7 +130,8 @@ val run :
   rounds:int ->
   handler option array ->
   unit
-(** Run up to [rounds] further rounds, stopping early when [stop] fires. *)
+(** Run up to [rounds] further rounds, stopping early when [stop] fires.
+    Every slot is visited each round, on every backend. *)
 
 val run_parties :
   t ->

@@ -32,11 +32,6 @@ val backend_name : backend -> string
 val backend_of_string : ?async:async_cfg -> string -> backend option
 (** ["dense"], ["sparse"], or ["async"] (with [async] as its config). *)
 
-val pure_sync : async_cfg -> bool
-(** Whether this config is exact synchrony — every latency is 1, no
-    stream is drawn, and the async transcript must be byte-identical to
-    the lock-step backends. *)
-
 (** Deterministic binary min-heap keyed by (delivery time, send sequence):
     pops come out in delivery order, ties broken by send order. *)
 module Heap : sig

@@ -78,7 +78,7 @@ type t = {
   a_n : int;
   a_kappa : int;
   a_budgets : budgets;
-  mutable corrupt : bool array;
+  corrupt : bool array;
   mutable honest_n : int; (* cached honest count, tracks [corrupt] *)
   (* per-round state, reset by end_round. Only parties actually charged
      this round are visited at the round boundary: [touched] lists them,
@@ -96,7 +96,6 @@ type t = {
   mutable violations_rev : violation list;
   mutable violation_count : int;
   mutable timeline_rev : round_rec list;
-  mutable round_sched : int; (* parties the scheduler invoked this round *)
   mutable round_sent : int; (* bits staged by sends this round, all parties *)
   mutable rounds_seen : int;
   mutable max_round_bits : int;
@@ -128,7 +127,6 @@ let create ?(label = "audit") ?(kappa = kappa_default) ~n ~budgets () =
     violations_rev = [];
     violation_count = 0;
     timeline_rev = [];
-    round_sched = 0;
     round_sent = 0;
     rounds_seen = 0;
     max_round_bits = 0;
@@ -142,11 +140,11 @@ let n t = t.a_n
 let kappa t = t.a_kappa
 let budgets t = t.a_budgets
 
-let set_corrupt t mask =
-  if Array.length mask <> t.a_n then invalid_arg "Audit.set_corrupt: arity";
-  t.corrupt <- Array.copy mask;
-  t.honest_n <-
-    Array.fold_left (fun acc c -> if c then acc else acc + 1) 0 t.corrupt
+let mark_corrupt t p =
+  if not t.corrupt.(p) then begin
+    t.corrupt.(p) <- true;
+    t.honest_n <- t.honest_n - 1
+  end
 
 let honest t p = not t.corrupt.(p)
 
@@ -162,13 +160,6 @@ let push_phase t name =
 
 let pop_phase t =
   match t.phases with [] -> () | _ :: rest -> t.phases <- rest
-
-let with_phase opt name f =
-  match opt with
-  | None -> f ()
-  | Some t ->
-    push_phase t name;
-    Fun.protect ~finally:(fun () -> pop_phase t) f
 
 (* --- accounting --- *)
 
@@ -203,11 +194,6 @@ let note_send t ~src ~dst ~bits =
   charge t src dst bits
 let note_recv t ~src ~dst ~bits = charge t dst src bits
 
-(* Scheduler occupancy, reported once per round by the network stepper:
-   how many handlers it invoked (the armed set), as opposed to [tr_active],
-   which counts parties that actually moved bits. *)
-let note_scheduled t k = t.round_sched <- k
-
 let record t v =
   t.violations_rev <- v :: t.violations_rev;
   t.violation_count <- t.violation_count + 1;
@@ -233,7 +219,7 @@ let check t ~party ~round ~kind ~observed = function
     end
     else false
 
-let end_round t ~round =
+let end_round t ~round ~scheduled =
   t.last_round <- round;
   t.rounds_seen <- t.rounds_seen + 1;
   let max_bits = ref 0 and sum_bits = ref 0 and active = ref 0 in
@@ -271,13 +257,12 @@ let end_round t ~round =
       tr_max_bits = !max_bits;
       tr_mean_bits = float_of_int !sum_bits /. float_of_int (max 1 t.honest_n);
       tr_active = !active;
-      tr_scheduled = t.round_sched;
+      tr_scheduled = scheduled;
       tr_sent_bits = t.round_sent;
       tr_max_locality = !max_loc;
       tr_violations = !viols;
     }
     :: t.timeline_rev;
-  t.round_sched <- 0;
   t.round_sent <- 0;
   List.iter
     (fun p ->
@@ -347,31 +332,17 @@ let worst_offenders ?(top = 5) t =
 
 (* --- JSONL timeline --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let timeline_jsonl ?protocol t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun r ->
       (match protocol with
-      | Some p -> Buffer.add_string buf (Printf.sprintf "{\"protocol\":\"%s\"," (json_escape p))
+      | Some p -> Buffer.add_string buf (Printf.sprintf "{\"protocol\":\"%s\"," (Jstr.escape p))
       | None -> Buffer.add_char buf '{');
       Buffer.add_string buf
         (Printf.sprintf
            "\"round\":%d,\"phase\":\"%s\",\"max_bits\":%d,\"mean_bits\":%.1f,\"active\":%d,\"scheduled\":%d,\"sent_bits\":%d,\"max_locality\":%d,\"violations\":%d}\n"
-           r.tr_round (json_escape r.tr_phase) r.tr_max_bits r.tr_mean_bits
+           r.tr_round (Jstr.escape r.tr_phase) r.tr_max_bits r.tr_mean_bits
            r.tr_active r.tr_scheduled r.tr_sent_bits r.tr_max_locality
            r.tr_violations))
     (timeline t);

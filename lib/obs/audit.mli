@@ -70,24 +70,21 @@ val n : t -> int
 val kappa : t -> int
 val budgets : t -> budgets
 
-val set_corrupt : t -> bool array -> unit
-(** Restrict the budget checks to honest parties (the adversary can always
-    inflate its own parties' numbers). Called by the network on attach. *)
+val mark_corrupt : t -> int -> unit
+(** Drop one party from the budget checks (the adversary can always
+    inflate its own parties' numbers). Idempotent; the network marks the
+    static corrupt set at creation and every later upgrade. *)
 
 (** {2 Feeding it (the metered network calls these)} *)
 
 val note_send : t -> src:int -> dst:int -> bits:int -> unit
 val note_recv : t -> src:int -> dst:int -> bits:int -> unit
 
-val note_scheduled : t -> int -> unit
-(** Scheduler occupancy for the round being closed next: how many party
-    handlers the network stepper invoked (the armed set) — as opposed to
-    {!round_rec.tr_active}, which counts parties that actually moved bits.
-    Called once per round by the stepper; resets to 0 at [end_round]. *)
-
-val end_round : t -> round:int -> unit
+val end_round : t -> round:int -> scheduled:int -> unit
 (** Close the network round: run the per-round budget checks for every
-    honest party, append the timeline record, reset the per-round state. *)
+    honest party, append the timeline record, reset the per-round state.
+    [scheduled]: how many handlers the round loop invoked this round (the
+    armed set, as opposed to [tr_active], the parties that moved bits). *)
 
 val finalize : t -> unit
 (** Run the whole-execution checks (total bits). Idempotent. *)
@@ -96,11 +93,6 @@ val finalize : t -> unit
 
 val push_phase : t -> string -> unit
 val pop_phase : t -> unit
-
-val with_phase : t option -> string -> (unit -> 'a) -> 'a
-(** [with_phase audit tag f] runs [f] with [tag] pushed on the phase stack
-    (restored even on exceptions); [None] is a zero-cost no-op. Nested
-    phases join into a [>]-separated path, innermost last. *)
 
 val current_phase : t -> string
 
@@ -117,7 +109,7 @@ type round_rec = {
   tr_max_bits : int;  (** max over honest parties, sent+received this round *)
   tr_mean_bits : float;
   tr_active : int;  (** honest parties that sent or received this round *)
-  tr_scheduled : int;  (** handlers the scheduler invoked ({!note_scheduled}) *)
+  tr_scheduled : int;  (** handlers the round loop invoked ({!end_round}) *)
   tr_sent_bits : int;
       (** bits staged by sends this round, summed over all sources (corrupt
           included) — exactly one charge per send the transcript tap sees,
@@ -142,9 +134,6 @@ val max_round_locality : t -> int
 
 val total_bits_max : t -> int
 (** Max over honest parties of whole-execution total bits. *)
-
-val total_locality_max : t -> int
-(** Max over honest parties of cumulative distinct peers. *)
 
 val rounds_seen : t -> int
 

@@ -137,25 +137,12 @@ let render_hotspots ?(top = 10) () =
 
 (* ---------- JSON ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_kv_object buf kvs =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
+      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (Jstr.escape k) v))
     kvs;
   Buffer.add_char buf '}'
 
@@ -164,7 +151,7 @@ let add_probes buf ps =
   List.iteri
     (fun i (name, kvs) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Jstr.escape name));
       add_kv_object buf kvs)
     ps;
   Buffer.add_char buf '}'
@@ -180,7 +167,7 @@ let add_histograms buf hs =
       Array.iteri (fun j v -> if v > 0 then last := j) buckets;
       Buffer.add_string buf
         (Printf.sprintf "\"%s\":{\"count\":%d,\"sum\":%d,\"buckets\":["
-           (json_escape name) count sum);
+           (Jstr.escape name) count sum);
       for j = 0 to !last do
         if j > 0 then Buffer.add_char buf ',';
         Buffer.add_string buf (string_of_int buckets.(j))
@@ -200,7 +187,7 @@ let add_deterministic buf =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"path\":\"%s\",\"count\":%d}"
-           (json_escape (path_string r.p_path))
+           (Jstr.escape (path_string r.p_path))
            r.p_count))
     (rows ());
   Buffer.add_string buf "],\"probes\":";
@@ -220,7 +207,7 @@ let add_hotspot_list buf rs =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"path\":\"%s\",\"count\":%d,\"wall_ms\":%.3f,\"alloc_words\":%.0f}"
-           (json_escape (path_string r.p_path))
+           (Jstr.escape (path_string r.p_path))
            r.p_count (r.p_wall_us /. 1e3) (alloc_words r)))
     rs;
   Buffer.add_char buf ']'
@@ -231,7 +218,7 @@ let report_json ~protocol ~n ~beta ~seed ~wall_s ~domains ~(gc : Trace.gc_delta)
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"repro-profile/1\",\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"protocol\": \"%s\",\n" (json_escape protocol));
+    (Printf.sprintf "  \"protocol\": \"%s\",\n" (Jstr.escape protocol));
   Buffer.add_string buf (Printf.sprintf "  \"n\": %d,\n" n);
   Buffer.add_string buf (Printf.sprintf "  \"beta\": %g,\n" beta);
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);

@@ -55,7 +55,7 @@ type t = {
   mutable spill_oc : out_channel option; (* opened lazily, on first flush *)
   mutable closed : bool;
   kp : bool;
-  mutable corrupt : bool array;
+  corrupt : (int, unit) Hashtbl.t;
 }
 
 let dummy = Phase { p_round = -1; p_name = "" }
@@ -74,34 +74,17 @@ let create ?(capacity = 1 lsl 21) ?spill ?(keep_payloads = false) () =
     spill_oc = None;
     closed = false;
     kp = keep_payloads;
-    corrupt = [||];
+    corrupt = Hashtbl.create 16;
   }
 
-let set_corrupt t mask = t.corrupt <- Array.copy mask
-
-let is_corrupt t p = p >= 0 && p < Array.length t.corrupt && t.corrupt.(p)
+let mark_corrupt t p = Hashtbl.replace t.corrupt p ()
+let is_corrupt t p = Hashtbl.mem t.corrupt p
 
 let keep_payloads t = t.kp
 let total_events t = t.total
-let in_memory t = t.len
-let spilled t = t.n_spilled
 let dropped t = t.n_dropped
 
 (* --- JSONL --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let hex_of_string s =
   let b = Buffer.create (2 * String.length s) in
@@ -122,11 +105,11 @@ let event_jsonl = function
     in
     Printf.sprintf
       "{\"e\":\"send\",\"round\":%d,\"src\":%d,\"dst\":%d,\"tag\":\"%s\",\"bits\":%d,\"digest\":\"%s\"%s%s}"
-      s.s_round s.s_src s.s_dst (json_escape s.s_tag) s.s_bits
+      s.s_round s.s_src s.s_dst (Jstr.escape s.s_tag) s.s_bits
       (hex_of_digest s.s_digest) vt payload
   | Phase p ->
     Printf.sprintf "{\"e\":\"phase\",\"round\":%d,\"name\":\"%s\"}" p.p_round
-      (json_escape p.p_name)
+      (Jstr.escape p.p_name)
   | Committee c ->
     Printf.sprintf
       "{\"e\":\"committee\",\"round\":%d,\"level\":%d,\"idx\":%d,\"members\":[%s]}"
@@ -134,7 +117,7 @@ let event_jsonl = function
       (String.concat "," (List.map string_of_int c.c_members))
   | Decide d ->
     Printf.sprintf "{\"e\":\"decide\",\"round\":%d,\"party\":%d,\"value\":\"%s\"}"
-      d.d_round d.d_party (json_escape d.d_value)
+      d.d_round d.d_party (Jstr.escape d.d_value)
 
 (* --- ring --- *)
 
@@ -216,13 +199,7 @@ let note_send t ?vt ~round ~src ~dst ~tag ~bits ~payload () =
          s_payload = (if t.kp then Some (Bytes.to_string payload) else None);
        })
 
-let note_phase t ~round name = push t (Phase { p_round = round; p_name = name })
-
-let note_committee t ~round ~level ~idx ~members =
-  push t (Committee { c_round = round; c_level = level; c_idx = idx; c_members = members })
-
-let note_decide t ~round ~party ~value =
-  push t (Decide { d_round = round; d_party = party; d_value = value })
+let note = push
 
 (* --- decisions --- *)
 

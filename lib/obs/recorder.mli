@@ -56,30 +56,28 @@ val create : ?capacity:int -> ?spill:string -> ?keep_payloads:bool -> unit -> t
     [keep_payloads] the raw payload bytes ride along on send events —
     required for replay, off by default. *)
 
-val set_corrupt : t -> bool array -> unit
-(** Ground-truth corrupt mask, recorded by the network on attach; used to
-    separate accountable equivocation from honest per-recipient fan-out. *)
+val mark_corrupt : t -> int -> unit
+(** Add one party to the ground-truth corrupt set, used to separate
+    accountable equivocation from honest per-recipient fan-out. The network
+    marks the static corrupt set at creation and every later upgrade. *)
 
 val is_corrupt : t -> int -> bool
 val keep_payloads : t -> bool
 
-(** {2 Feeding it (the network and protocol layers call these)} *)
+(** {2 Feeding it (the network's observer calls these)} *)
 
 val note_send :
   t -> ?vt:int -> round:int -> src:int -> dst:int -> tag:string -> bits:int ->
   payload:bytes -> unit -> unit
 
-val note_phase : t -> round:int -> string -> unit
-val note_committee : t -> round:int -> level:int -> idx:int -> members:int list -> unit
-val note_decide : t -> round:int -> party:int -> value:string -> unit
+val note : t -> event -> unit
+(** Append a protocol-level event (phase, committee, decision). *)
 
 (** {2 Log access} *)
 
 val total_events : t -> int
 (** Events recorded over the whole run (in memory + spilled + dropped). *)
 
-val in_memory : t -> int
-val spilled : t -> int
 val dropped : t -> int
 
 val events : t -> event list

@@ -68,7 +68,6 @@ let output () = !out_file
    wall time. *)
 let gc_capture = Atomic.make false
 let set_gc_capture b = Atomic.set gc_capture b
-let gc_capture_enabled () = Atomic.get gc_capture
 
 (* Trace epoch: timestamps are microseconds since module load, keeping them
    small enough to render exactly as JSON numbers. *)
@@ -178,22 +177,6 @@ let reset () =
       b.dropped <- 0)
     bs
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json evs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[\n";
@@ -203,7 +186,7 @@ let to_chrome_json evs =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (json_escape ev.e_name) (json_escape ev.e_cat) ev.e_ts ev.e_dur
+           (Jstr.escape ev.e_name) (Jstr.escape ev.e_cat) ev.e_ts ev.e_dur
            ev.e_tid);
       if ev.e_args <> [] then begin
         Buffer.add_string buf ",\"args\":{";
@@ -211,7 +194,7 @@ let to_chrome_json evs =
           (fun j (k, v) ->
             if j > 0 then Buffer.add_char buf ',';
             Buffer.add_string buf
-              (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+              (Printf.sprintf "\"%s\":\"%s\"" (Jstr.escape k) (Jstr.escape v)))
           ev.e_args;
         Buffer.add_char buf '}'
       end;

@@ -51,8 +51,6 @@ val set_gc_capture : bool -> unit
     Opt-in on top of tracing: the two quickstat calls per span are cheap
     but not free, and most trace users only want wall time. *)
 
-val gc_capture_enabled : unit -> bool
-
 val span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()], recording its interval when enabled. The
     event is recorded even when [f] raises (the exception propagates). *)

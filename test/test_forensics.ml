@@ -1,12 +1,13 @@
 (* Forensics layer: flight recorder vs auditor conservation, causal cones,
    equivocation evidence, transcript replay.
 
-   The conservation property is the tap/audit contract from the recorder's
-   design: the network's send choke point feeds the tap, the metrics, the
-   auditor and the recorder from the same call site, so the recorder must
-   observe every send in exact send order and its per-round bit totals must
-   equal the auditor's [tr_sent_bits] — on both the dense handler-array
-   stepper and the delivery-driven sparse one. *)
+   The conservation property is the observer contract of the network's
+   send choke point: it hands every send once, with one bit charge, to
+   each subscriber — here a transcript tap, the recorder and the auditor —
+   so tap and recorder must observe every send in exact send order with the
+   same bits, and their per-round bit totals must equal the auditor's
+   [tr_sent_bits] — on both the dense handler-array stepper and the
+   delivery-driven sparse one. *)
 
 open Repro_core
 module Rng = Repro_util.Rng
@@ -79,20 +80,31 @@ let expected_sends script =
   done;
   !out
 
-(* Drive the script through a fresh network with an auditor and a recorder
-   both attached; [sparse] picks the delivery-driven stepper, [backend]
-   overrides it (the async executor), and [condition] programs the async
-   delivery heap — dark parties skip their scripted sends. *)
+(* Drive the script through a fresh network with a tap, an auditor and a
+   recorder all subscribed; [sparse] picks the delivery-driven stepper,
+   [backend] overrides it (the async executor), and [condition] programs
+   the async delivery heap — dark parties skip their scripted sends. The
+   tap's view is returned in the recorder's event shape. *)
 let drive ?backend ?condition ~sparse script =
-  let net = Network.create ?backend ~n:script.sc_n ~corrupt:[] () in
-  Option.iter (Network.set_condition net) condition;
   let audit =
     Audit.create ~label:"forensics-qcheck" ~n:script.sc_n
       ~budgets:Audit.no_budgets ()
   in
-  Network.attach_audit net audit;
   let r = Recorder.create () in
-  Network.attach_recorder net r;
+  let tapped = ref [] in
+  let tap ~round (m : Repro_net.Wire.msg) =
+    tapped :=
+      ( round, m.src, m.dst, m.tag,
+        Recorder.digest_of_payload m.payload,
+        8 * Repro_net.Wire.size m )
+      :: !tapped
+  in
+  let net =
+    Network.create ?backend
+      ~observers:(Network.observers ~audit ~recorder:r ~tap ())
+      ~n:script.sc_n ~corrupt:[] ()
+  in
+  Option.iter (Network.set_condition net) condition;
   let handler i ~round ~inbox:_ =
     List.iter
       (fun (rr, src, dst, tg, len) ->
@@ -109,11 +121,11 @@ let drive ?backend ?condition ~sparse script =
     Network.run net ~rounds:script.sc_rounds
       (Array.init script.sc_n (fun i -> Some (handler i)));
   Audit.finalize audit;
-  (r, audit)
+  (r, audit, List.rev !tapped)
 
 let check_conservation ?backend ?condition ?(down = fun ~round:_ _ -> false)
     ~sparse script =
-  let r, audit = drive ?backend ?condition ~sparse script in
+  let r, audit, tapped = drive ?backend ?condition ~sparse script in
   (* A dark party's handler is skipped, so its scripted sends for that
      round never happen — the expectation filters them out; everything
      else must be charged exactly once, retransmit holds and deferred
@@ -140,6 +152,9 @@ let check_conservation ?backend ?condition ?(down = fun ~round:_ _ -> false)
   if observed <> expected then
     QCheck.Test.fail_reportf "send stream mismatch: %d observed vs %d expected"
       (List.length observed) (List.length expected);
+  if tapped <> observed then
+    QCheck.Test.fail_reportf "tap vs recorder mismatch: %d tapped vs %d recorded"
+      (List.length tapped) (List.length observed);
   (* per-round bit totals vs the auditor's sent-bits accounting *)
   let rec_bits = Hashtbl.create 8 in
   List.iter

@@ -380,6 +380,146 @@ let test_wire_encode_stable () =
     (Bytes.to_string enc);
   Alcotest.(check bool) "round-trips" true (Wire.decode enc = Some m)
 
+(* --- The one round loop: call shapes x backends are interchangeable --- *)
+
+(* A small random protocol that honours the sparse contract: a party acts
+   only when it is one of the round's spontaneous actors or holds mail,
+   and every send (honest or chaff) stays inside a universe [u], so a
+   party outside [u] is a no-op in every round. *)
+type loop_case = {
+  lc_n : int;
+  lc_seed : int;
+  lc_rounds : int;
+  lc_stop_at : int; (* stop predicate fires from this round on *)
+  lc_u : int list; (* universe, in a random order *)
+  lc_corrupt : int list;
+  lc_spont : int list array; (* per round: spontaneous actors, unsorted, dups *)
+  lc_extra_slots : int list; (* outside-u parties given a handler slot *)
+}
+
+let gen_loop_case =
+  QCheck.Gen.(
+    let* n = int_range 2 12 in
+    let* seed = int_bound 1_000_000 in
+    let* rounds = int_range 1 6 in
+    let* stop_at = int_range 1 (rounds + 2) in
+    let* u = list_size (int_range 1 n) (int_bound (n - 1)) in
+    let u = List.sort_uniq compare u in
+    let* keys = list_repeat (List.length u) (int_bound 1000) in
+    let u = List.map snd (List.sort compare (List.combine keys u)) in
+    let* corrupt = list_size (int_bound 2) (oneofl u) in
+    let* spont =
+      array_repeat rounds (list_size (int_bound 4) (oneofl u))
+    in
+    let* slots = list_size (int_bound 3) (int_bound (n - 1)) in
+    return
+      {
+        lc_n = n;
+        lc_seed = seed;
+        lc_rounds = rounds;
+        lc_stop_at = stop_at;
+        lc_u = u;
+        lc_corrupt = List.sort_uniq compare corrupt;
+        lc_spont = spont;
+        lc_extra_slots = List.filter (fun p -> not (List.mem p u)) slots;
+      })
+
+let arb_loop_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d seed=%d rounds=%d stop_at=%d u=[%s] corrupt=[%s]"
+        c.lc_n c.lc_seed c.lc_rounds c.lc_stop_at
+        (String.concat ";" (List.map string_of_int c.lc_u))
+        (String.concat ";" (List.map string_of_int c.lc_corrupt)))
+    gen_loop_case
+
+(* Run the case through one call shape on one backend; return the tap
+   transcript and the metrics report. *)
+let run_loop_case c ~backend ~shape =
+  let log = ref [] in
+  let tap ~round (m : Wire.msg) =
+    log := (round, m.Wire.src, m.Wire.dst, m.Wire.tag, Bytes.to_string m.Wire.payload) :: !log
+  in
+  let net =
+    Network.create ~backend ~observers:(Network.observers ~tap ()) ~n:c.lc_n
+      ~corrupt:c.lc_corrupt ()
+  in
+  let u = Array.of_list c.lc_u in
+  let spont ~round = if round < c.lc_rounds then c.lc_spont.(round) else [] in
+  let handler p ~round ~inbox =
+    if inbox <> [] || List.mem p (spont ~round) then begin
+      let h =
+        Hashtbl.hash
+          ( c.lc_seed, p, round,
+            List.map (fun (m : Wire.msg) -> (m.Wire.src, m.Wire.tag, m.Wire.payload)) inbox )
+      in
+      for j = 0 to h mod 3 do
+        let dst = u.((h / (j + 1)) mod Array.length u) in
+        Network.send net ~src:p ~dst
+          ~tag:(if (h lsr j) land 1 = 0 then "a" else "b")
+          (Bytes.of_string (string_of_int ((h lsr 3) + j)))
+      done
+    end
+  in
+  let chaff =
+    {
+      Network.adv_name = "chaff";
+      adv_step =
+        (fun net ~round ~honest_staged ->
+          List.iter
+            (fun q ->
+              let k = round + q + List.length honest_staged in
+              Network.send net ~src:q ~dst:u.(k mod Array.length u) ~tag:"chaff"
+                (Bytes.make (k mod 5) 'x'))
+            c.lc_corrupt);
+    }
+  in
+  let stop ~round = round >= c.lc_stop_at in
+  let rounds = c.lc_rounds + 1 in
+  (match shape with
+  | `Array ->
+    Network.run net ~adversary:chaff ~stop ~rounds
+      (Array.init c.lc_n (fun p ->
+           if List.mem p c.lc_u || List.mem p c.lc_extra_slots then
+             Some (handler p)
+           else None))
+  | `Parties ->
+    Network.run_parties net ~adversary:chaff ~stop ~rounds
+      (List.map (fun p -> (p, handler p)) c.lc_u)
+  | `Driven ->
+    Network.run_active net ~adversary:chaff ~stop ~rounds ~extra:spont
+      (fun p -> Some (handler p)));
+  (List.rev !log, Metrics.report (Network.metrics net))
+
+let prop_loop_shapes_agree =
+  QCheck.Test.make ~count:150
+    ~name:"round loop: array, party-list and delivery-driven shapes agree on every backend"
+    arb_loop_case
+    (fun c ->
+      let runs =
+        List.concat_map
+          (fun backend ->
+            List.map
+              (fun shape -> (backend, shape, run_loop_case c ~backend ~shape))
+              [ `Array; `Parties; `Driven ])
+          [ Repro_net.Sched.Dense; Repro_net.Sched.Sparse;
+            Repro_net.Sched.Async Repro_net.Sched.default_async ]
+      in
+      let _, _, (ref_log, ref_report) = List.hd runs in
+      List.iter
+        (fun (backend, shape, (log, report)) ->
+          let what =
+            Printf.sprintf "%s/%s" (Repro_net.Sched.backend_name backend)
+              (match shape with `Array -> "array" | `Parties -> "parties" | `Driven -> "driven")
+          in
+          if log <> ref_log then
+            QCheck.Test.fail_reportf "%s: transcript differs (%d vs %d sends)" what
+              (List.length log) (List.length ref_log);
+          if report <> ref_report then
+            QCheck.Test.fail_reportf "%s: metrics report differs" what)
+        runs;
+      true)
+
 let suite =
   [
     Alcotest.test_case "delivery next round" `Quick test_delivery_next_round;
@@ -401,4 +541,5 @@ let suite =
     Alcotest.test_case "wire encode stable" `Quick test_wire_encode_stable;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
     QCheck_alcotest.to_alcotest prop_wire_decode_total;
+    QCheck_alcotest.to_alcotest prop_loop_shapes_agree;
   ]

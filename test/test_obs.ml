@@ -334,17 +334,18 @@ let test_audit_curve_eval () =
 
 let test_audit_accounting () =
   let a = Audit.create ~label:"unit" ~n:4 ~budgets:tight_budgets () in
-  Audit.with_phase (Some a) "ph" (fun () ->
-      Alcotest.(check string) "phase path" "ph" (Audit.current_phase a);
-      Audit.with_phase (Some a) "inner" (fun () ->
-          Alcotest.(check string) "nested path joins" "ph>inner"
-            (Audit.current_phase a));
-      Alcotest.(check string) "phase restored" "ph" (Audit.current_phase a);
-      (* party 0 sends 8 bits to each of 1 and 2; party 1 receives one. *)
-      Audit.note_send a ~src:0 ~dst:1 ~bits:8;
-      Audit.note_send a ~src:0 ~dst:2 ~bits:8;
-      Audit.note_recv a ~src:0 ~dst:1 ~bits:8;
-      Audit.end_round a ~round:0);
+  Audit.push_phase a "ph";
+  Alcotest.(check string) "phase path" "ph" (Audit.current_phase a);
+  Audit.push_phase a "inner";
+  Alcotest.(check string) "nested path joins" "ph>inner" (Audit.current_phase a);
+  Audit.pop_phase a;
+  Alcotest.(check string) "phase restored" "ph" (Audit.current_phase a);
+  (* party 0 sends 8 bits to each of 1 and 2; party 1 receives one. *)
+  Audit.note_send a ~src:0 ~dst:1 ~bits:8;
+  Audit.note_send a ~src:0 ~dst:2 ~bits:8;
+  Audit.note_recv a ~src:0 ~dst:1 ~bits:8;
+  Audit.end_round a ~round:0 ~scheduled:0;
+  Audit.pop_phase a;
   Audit.finalize a;
   Audit.finalize a;
   (* budgets are 1 bit/round, 1 peer/round, 2 bits total: party 0 breaks
@@ -394,11 +395,11 @@ let test_audit_accounting () =
 
 let test_audit_corrupt_masked () =
   let a = Audit.create ~n:4 ~budgets:tight_budgets () in
-  Audit.set_corrupt a [| true; false; false; false |];
+  Audit.mark_corrupt a 0;
   Audit.note_send a ~src:0 ~dst:1 ~bits:8;
   Audit.note_send a ~src:0 ~dst:2 ~bits:8;
   Audit.note_recv a ~src:0 ~dst:1 ~bits:8;
-  Audit.end_round a ~round:0;
+  Audit.end_round a ~round:0 ~scheduled:0;
   Audit.finalize a;
   (* corrupt party 0's flood is its own business; only honest party 1's
      round-bits and total-bits overruns count. *)
@@ -407,10 +408,27 @@ let test_audit_corrupt_masked () =
     (fun v -> Alcotest.(check int) "honest offender" 1 v.Audit.v_party)
     (Audit.violations a)
 
+(* An auditor sized for another n would miscount honest parties (or index
+   out of bounds mid-run), so the network refuses it at creation. *)
+let test_audit_arity () =
+  let observers n =
+    Repro_net.Network.observers ~audit:(Audit.create ~n ~budgets:tight_budgets ()) ()
+  in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises "auditor n <> network n"
+        (Invalid_argument "Network.create: auditor arity") (fun () ->
+          ignore (Repro_net.Network.create ~observers:(observers n) ~n:8 ~corrupt:[ 1 ] ())))
+    [ 4; 16 ]
+
+let run_audited ~protocol ~n ~beta ~seed =
+  let a = Runner.make_auditor ~protocol ~n in
+  (Runner.run ~audit:a ~protocol ~n ~beta ~seed (), a)
+
 let test_audit_budget_pass () =
   List.iter
     (fun proto ->
-      let row, a = Runner.run_audited ~protocol:proto ~n:64 ~beta:0.1 ~seed:1 () in
+      let row, a = run_audited ~protocol:proto ~n:64 ~beta:0.1 ~seed:1 in
       Alcotest.(check bool) (row.Runner.r_protocol ^ " agreement") true
         row.Runner.r_ok;
       Alcotest.(check int) (row.Runner.r_protocol ^ " within budget") 0
@@ -419,7 +437,7 @@ let test_audit_budget_pass () =
 
 let test_audit_budget_fail () =
   let _row, a =
-    Runner.run_audited ~protocol:Runner.Naive_boost ~n:64 ~beta:0.1 ~seed:1 ()
+    run_audited ~protocol:Runner.Naive_boost ~n:64 ~beta:0.1 ~seed:1
   in
   Alcotest.(check bool) "naive flooding violates" true
     (Audit.violation_count a > 0);
@@ -436,7 +454,7 @@ let test_audit_budget_fail () =
 
 let test_audit_timeline_jsonl () =
   let _row, a =
-    Runner.run_audited ~protocol:Runner.This_work_snark ~n:32 ~beta:0.1 ~seed:1 ()
+    run_audited ~protocol:Runner.This_work_snark ~n:32 ~beta:0.1 ~seed:1
   in
   let lines =
     String.split_on_char '\n'
@@ -468,8 +486,7 @@ let test_audit_pool_independent () =
   let run_with domains =
     Parallel.set_domains domains;
     let _row, a =
-      Runner.run_audited ~protocol:Runner.This_work_snark ~n:32 ~beta:0.1
-        ~seed:5 ()
+      run_audited ~protocol:Runner.This_work_snark ~n:32 ~beta:0.1 ~seed:5
     in
     (Audit.violation_count a, Audit.timeline_jsonl a)
   in
@@ -661,9 +678,19 @@ let test_profile_compare () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong schema must be Error, not a verdict"
 
+(* Every report writer escapes strings through this one function, so its
+   output for the characters the writers used to disagree on is pinned. *)
+let test_jstr_escape () =
+  Alcotest.(check string) "escape" {|a\"b\\c\nd\te\u0001f|}
+    (Repro_obs.Jstr.escape "a\"b\\c\nd\te\001f");
+  Alcotest.(check string) "quote" {|"x\"y"|} (Repro_obs.Jstr.quote "x\"y");
+  Alcotest.(check bool) "parses back" true
+    (Json.parse (Repro_obs.Jstr.quote "q\"\\\n\t\r\001") = Ok (Json.Str "q\"\\\n\t\r\001"))
+
 let suite =
   [
     Alcotest.test_case "json checker sanity" `Quick test_json_checker_sanity;
+    Alcotest.test_case "json string escape" `Quick test_jstr_escape;
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "snapshot shape" `Quick test_snapshot_shape;
     Alcotest.test_case "histogram" `Quick test_histogram;
@@ -675,6 +702,7 @@ let suite =
     Alcotest.test_case "audit curve eval" `Quick test_audit_curve_eval;
     Alcotest.test_case "audit accounting" `Quick test_audit_accounting;
     Alcotest.test_case "audit corrupt masked" `Quick test_audit_corrupt_masked;
+    Alcotest.test_case "audit arity" `Quick test_audit_arity;
     Alcotest.test_case "audit budget pass" `Quick test_audit_budget_pass;
     Alcotest.test_case "audit budget fail" `Quick test_audit_budget_fail;
     Alcotest.test_case "audit timeline jsonl" `Quick test_audit_timeline_jsonl;
